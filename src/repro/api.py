@@ -1,14 +1,10 @@
 """Typed request/response surface shared by ``Session`` and ``repro.serve``.
 
-The entry-point sprawl grew organically — ``dgemm`` takes
-``transa``/``transb`` keywords, ``dgemm_batch`` takes ``BatchItem``
-tuples plus ``processor=``/``n_core_groups=``, ``dgemm_multi_cg`` had
-its own spelling of everything — and a serving tier cannot be built on
-kwargs: a request must carry its *shape metadata* (for per-request
-routing and bin coalescing), its *options* (retry budget, engine,
-check) and come back as a *structured response* (value, per-request
-traffic and timing, fault reports, or a typed error — never a bare
-exception string).
+A serving tier cannot be built on kwargs: a request must carry its
+*shape metadata* (for per-request routing and bin coalescing), its
+*options* (retry budget, engine, check) and come back as a *structured
+response* (value, per-request traffic and timing, fault reports, or a
+typed error — never a bare exception string).
 
 This module is that surface:
 
@@ -25,13 +21,13 @@ This module is that surface:
   queue/service timing, fault reports from the resilience ladder, and
   a typed error instead of a raise;
 - :func:`as_request` / :func:`as_gemm_request` — the single
-  normalization funnel every public entry point routes through, which
-  also resolves the legacy kwarg spellings (``trans`` for ``transa``,
-  ``ncgs`` for ``n_core_groups``, ...) with a ``DeprecationWarning``.
+  normalization funnel every public entry point routes through.
 
-``repro.core.batch.BatchItem`` is now a thin deprecated alias of
-:class:`GemmRequest`; sync ``Session.batch``/``Session.submit`` and
-async ``repro.serve`` consume these dataclasses verbatim.
+Validation is where bad input stops: empty dimensions and complex (or
+otherwise non-real) operands raise :class:`UnsupportedShapeError`
+before anything is staged on a device.  ``dgemm_batch``,
+``CGScheduler``, sync ``Session.batch``/``Session.submit`` and async
+``repro.serve`` consume these dataclasses verbatim.
 
 Import discipline: this module sits *below* ``repro.core`` — at
 runtime it imports only :mod:`repro.errors` and numpy, so the core
@@ -41,9 +37,8 @@ entry points can route through it without cycles.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar, Mapping
+from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
@@ -67,50 +62,24 @@ __all__ = [
     "as_gemm_request",
     "as_request",
     "format_bin",
-    "resolve_legacy_kwargs",
 ]
 
 
-# -- legacy kwarg harmonization -----------------------------------------
-
-#: legacy spelling -> canonical keyword, across every GEMM entry point.
-LEGACY_KWARGS: dict[str, str] = {
-    "trans": "transa",
-    "trans_a": "transa",
-    "trans_b": "transb",
-    "ncgs": "n_core_groups",
-    "num_core_groups": "n_core_groups",
-    "core_groups": "n_core_groups",
-}
+# -- operand checks ----------------------------------------------------
 
 
-def resolve_legacy_kwargs(caller: str, legacy: Mapping[str, Any]) -> dict[str, Any]:
-    """Map legacy kwarg spellings to their canonical names.
+def _check_real(name: str, array: np.ndarray) -> None:
+    """Reject complex (and non-numeric) operands, which the float64
+    staging copy would otherwise truncate with only a warning."""
+    if array.dtype.kind not in "biuf":
+        raise UnsupportedShapeError(f"{name} has dtype {array.dtype}; it must be real")
 
-    Every recognized legacy spelling (``trans`` for ``transa``,
-    ``ncgs`` for ``n_core_groups``, ...) is accepted with a
-    :class:`DeprecationWarning` naming the canonical form; an unknown
-    keyword raises :class:`TypeError` exactly as a plain signature
-    would, so typos stay loud.  Passing the same canonical keyword
-    through two legacy spellings raises :class:`ConfigError`.
-    """
-    resolved: dict[str, Any] = {}
-    for key, value in legacy.items():
-        canonical = LEGACY_KWARGS.get(key)
-        if canonical is None:
-            raise TypeError(f"{caller}() got an unexpected keyword argument {key!r}")
-        if canonical in resolved:
-            raise ConfigError(
-                f"{caller}(): {key!r} duplicates {canonical!r}, already "
-                "given through another spelling"
-            )
-        warnings.warn(
-            f"{caller}(): keyword {key!r} is deprecated, use {canonical!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        resolved[canonical] = value
-    return resolved
+
+def _check_dims(what: str, **dims: int) -> None:
+    """Reject empty dimensions, naming the first one that is zero."""
+    for name, value in dims.items():
+        if value < 1:
+            raise UnsupportedShapeError(f"{what} has {name}={value}; it must be >= 1")
 
 
 def apply_trans(name: str, flag: str, array: np.ndarray) -> np.ndarray:
@@ -158,18 +127,13 @@ class GemmRequest:
     #: workload discriminator used for binning and reporting.
     kind: ClassVar[str] = "gemm"
 
-    def __post_init__(self) -> None:
-        # intentionally empty: the deprecated BatchItem shim overrides
-        # this hook to warn on construction without re-implementing
-        # the dataclass machinery.
-        return None
-
     def validate(self) -> tuple[int, int, int]:
         """Check shapes and flags; return the effective ``(m, n, k)``.
 
         The returned shape accounts for ``transa``/``transb``.  A bad
-        request raises :class:`UnsupportedShapeError` *here*, before
-        anything is staged on a device.
+        request — including an empty dimension or a complex operand —
+        raises :class:`UnsupportedShapeError` *here*, before anything is
+        staged on a device.
         """
         a = np.asarray(self.a)
         b = np.asarray(self.b)
@@ -178,6 +142,8 @@ class GemmRequest:
                 "operands must be 2-D matrices, got "
                 f"A ndim={a.ndim}, B ndim={b.ndim}"
             )
+        _check_real("A", a)
+        _check_real("B", b)
         for name, flag in (("transa", self.transa), ("transb", self.transb)):
             if str(flag).upper() not in ("N", "T"):
                 raise UnsupportedShapeError(
@@ -191,6 +157,7 @@ class GemmRequest:
                 f"{b.shape} (transb={self.transb!r}) — inner dimensions "
                 f"{k} != {k2}"
             )
+        _check_dims("GEMM", m=m, n=n, k=k)
         if self.c is None:
             if self.beta != 0.0:
                 raise UnsupportedShapeError(
@@ -200,6 +167,7 @@ class GemmRequest:
             c = np.asarray(self.c)
             if c.shape != (m, n):
                 raise UnsupportedShapeError(f"C is {c.shape}, expected {(m, n)}")
+            _check_real("C", c)
         return (m, n, k)
 
     def shape_bin(self, params: "BlockingParams") -> tuple[Any, ...]:
@@ -249,6 +217,8 @@ class LuRequest:
             raise UnsupportedShapeError(
                 f"blocked_lu needs a square matrix, got {a.shape}"
             )
+        _check_real("A", a)
+        _check_dims("LU", n=int(a.shape[0]))
         if self.panel < 1:
             raise ConfigError(f"panel width must be >= 1, got {self.panel}")
         return (int(a.shape[0]), int(a.shape[1]), int(self.panel))
@@ -285,8 +255,12 @@ class ConvRequest:
             raise UnsupportedShapeError(
                 f"expected OIHW kernels, got shape {kernels.shape}"
             )
+        _check_real("images", images)
+        _check_real("kernels", kernels)
         n, c, h, w = (int(d) for d in images.shape)
         o, ci, kh, kw = (int(d) for d in kernels.shape)
+        _check_dims("images", n=n, c=c, h=h, w=w)
+        _check_dims("kernels", o=o, kh=kh, kw=kw)
         if ci != c:
             raise UnsupportedShapeError(
                 f"kernel expects {ci} input channels, images have {c}"
@@ -462,27 +436,12 @@ def as_gemm_request(
     beta: float = 0.0,
     transa: str = "N",
     transb: str = "N",
-    legacy: Mapping[str, Any] | None = None,
-    caller: str = "dgemm",
 ) -> GemmRequest:
     """Normalize one GEMM call into a validated :class:`GemmRequest`.
 
-    The single funnel behind ``dgemm``/``dgemm_batch``/
-    ``dgemm_multi_cg``: resolves legacy kwarg spellings (with a
-    :class:`DeprecationWarning`), then validates shapes and flags up
-    front.  ``legacy`` carries the caller's ``**kwargs`` so unknown
-    keywords still raise :class:`TypeError` under the caller's name.
+    The single funnel behind ``dgemm`` (and so every entry point built
+    on it): shapes, flags and dtypes are checked up front.
     """
-    if legacy:
-        resolved = resolve_legacy_kwargs(caller, legacy)
-        unexpected = set(resolved) - {"transa", "transb"}
-        if unexpected:
-            raise TypeError(
-                f"{caller}() got an unexpected keyword argument "
-                f"{sorted(unexpected)[0]!r}"
-            )
-        transa = resolved.get("transa", transa)
-        transb = resolved.get("transb", transb)
     request = GemmRequest(
         a=a, b=b, c=c, alpha=alpha, beta=beta, transa=transa, transb=transb
     )
@@ -493,10 +452,9 @@ def as_gemm_request(
 def as_request(obj: Any) -> Request:
     """Coerce ``obj`` to a typed request (the submit surfaces' funnel).
 
-    Accepts the three request dataclasses (including the deprecated
-    ``BatchItem`` alias, which *is* a :class:`GemmRequest`) and bare
-    ``(a, b)`` / ``(a, b, c)`` tuples for convenience; anything else
-    raises :class:`ConfigError`.
+    Accepts the three request dataclasses and bare ``(a, b)`` /
+    ``(a, b, c)`` tuples for convenience; anything else raises
+    :class:`ConfigError`.
     """
     if isinstance(obj, (GemmRequest, LuRequest, ConvRequest)):
         return obj

@@ -38,6 +38,7 @@ def dtrsm_llnu(
     core_group: CoreGroup | None = None,
     context: ExecutionContext | None = None,
     tracer=None,
+    engine: str = "device",
 ) -> np.ndarray:
     """Solve ``L X = B`` for unit-lower-triangular L (blocked).
 
@@ -47,7 +48,8 @@ def dtrsm_llnu(
         X[i] := L[i, i]^{-1} X[i]           # small solve on the MPE
 
     Strictly-upper entries of ``l_matrix`` are ignored and the diagonal
-    is taken as 1, per BLAS ``diag='U'`` semantics.
+    is taken as 1, per BLAS ``diag='U'`` semantics.  ``engine=`` selects
+    the updates' execution engine, as in :func:`repro.core.api.dgemm`.
     """
     l_matrix = np.asfortranarray(l_matrix, dtype=np.float64)
     b = np.asfortranarray(b, dtype=np.float64)
@@ -77,6 +79,7 @@ def dtrsm_llnu(
                     alpha=-1.0,
                     beta=1.0,
                     variant=variant,
+                    engine=engine,
                     params=params,
                     context=ctx,
                     pad=True,

@@ -42,8 +42,10 @@ class LUResult:
     lu: np.ndarray           # L (unit lower, below diagonal) and U packed
     piv: np.ndarray          # row swap at step i: rows i <-> piv[i]
     panel: int
-    #: flops executed by the simulated CG (trailing updates only).
+    #: useful flops of the trailing updates on the simulated CG.
     gemm_flops: int
+    #: the same updates' flops at the padded shapes they executed at.
+    padded_gemm_flops: int
 
     @property
     def n(self) -> int:
@@ -84,6 +86,7 @@ def blocked_lu(
     context: ExecutionContext | None = None,
     processor: "SW26010Processor | None" = None,
     tracer=None,
+    engine: str = "device",
 ) -> LUResult:
     """Factor PA = LU with trailing updates on the simulated CG.
 
@@ -96,6 +99,11 @@ def blocked_lu(
     to route each trailing update across the chip's four core groups —
     the HPL configuration — instead of serializing it on one CG; panel
     factorization and the triangular solves stay on CG 0.
+
+    ``engine=`` selects the execution engine of every simulated-CG
+    DGEMM (triangular-solve updates and trailing updates alike), as in
+    :func:`repro.core.api.dgemm`.  The result records both the useful
+    and the padded flops of the trailing updates.
     """
     if processor is not None and (core_group is not None or context is not None):
         raise ConfigError(
@@ -112,7 +120,7 @@ def blocked_lu(
     lu = a.copy(order="F")
     piv = np.empty(n, dtype=np.int64)
     params = params or BlockingParams.small(double_buffered=True)
-    gemm_flops = 0
+    gemm_flops = padded_gemm_flops = 0
 
     if processor is not None:
         core_group = processor.cg(0)
@@ -133,19 +141,24 @@ def blocked_lu(
             lu[col0:hi, hi:] = dtrsm_llnu(
                 lu[col0:hi, col0:hi], lu[col0:hi, hi:],
                 block=max(16, width // 2), variant=variant,
-                params=params, context=ctx, tracer=tracer,
+                params=params, context=ctx, tracer=tracer, engine=engine,
             )
             # trailing update on the CPE cluster: A22 -= L21 @ U12
             l21 = lu[hi:, col0:hi]
             u12 = lu[col0:hi, hi:]
+            rows, cols = l21.shape[0], u12.shape[1]
+            pm, pn, pk = params.pad_shape(rows, cols, width)
             if processor is not None:
                 from repro.multi.dgemm4 import dgemm_multi_cg
 
                 lu[hi:, hi:] = dgemm_multi_cg(
                     l21, u12, lu[hi:, hi:], alpha=-1.0, beta=1.0,
-                    variant=variant, params=params, processor=processor,
-                    pad=True,
+                    variant=variant, engine=engine, params=params,
+                    processor=processor, pad=True,
                 )
+                # dgemm_multi_cg pads n to whole block-multiple panels
+                block = processor.N_CORE_GROUPS * params.b_n
+                pn = -(-cols // block) * block
             else:
                 lu[hi:, hi:] = dgemm(
                     l21,
@@ -154,13 +167,16 @@ def blocked_lu(
                     alpha=-1.0,
                     beta=1.0,
                     variant=variant,
+                    engine=engine,
                     params=params,
                     context=ctx,
                     pad=True,
                     tracer=tracer,
                 )
-            gemm_flops += 2 * l21.shape[0] * u12.shape[1] * width
-    return LUResult(lu=lu, piv=piv, panel=panel, gemm_flops=gemm_flops)
+            gemm_flops += 2 * rows * cols * width
+            padded_gemm_flops += 2 * pm * pn * pk
+    return LUResult(lu=lu, piv=piv, panel=panel, gemm_flops=gemm_flops,
+                    padded_gemm_flops=padded_gemm_flops)
 
 
 def lu_solve(result: LUResult, b: np.ndarray) -> np.ndarray:

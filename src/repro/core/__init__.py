@@ -41,7 +41,7 @@ from repro.core.context import ContextStats, ExecutionContext
 from repro.core.api import dgemm
 from repro.core.engine import ENGINES, get_engine
 from repro.core.variants import VARIANTS, get_variant
-from repro.core.batch import BatchItem, BatchResult, dgemm_batch, validate_items
+from repro.core.batch import BatchResult, dgemm_batch, validate_items
 
 # imported last: Session pulls in repro.multi, which imports the
 # submodules above — reordering this import recreates the cycle.
@@ -52,7 +52,6 @@ __all__ = [
     "ExecutionContext",
     "Session",
     "SessionStats",
-    "BatchItem",
     "BatchResult",
     "dgemm_batch",
     "validate_items",

@@ -17,8 +17,6 @@ plans across calls (the batched hot path).
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.api import apply_trans, as_gemm_request
@@ -41,10 +39,6 @@ from repro.resil.faults import fault_phase
 
 __all__ = ["dgemm"]
 
-# re-exported for callers that used the private helper (dgemm4 did);
-# the implementation now lives on the typed surface.
-_apply_trans = apply_trans
-
 
 def dgemm(
     a: np.ndarray,
@@ -65,7 +59,6 @@ def dgemm(
     check: bool = False,
     tracer=None,
     plan_cache=None,
-    **legacy: Any,
 ) -> np.ndarray:
     """Compute ``alpha * a @ b + beta * c`` on the simulated CG.
 
@@ -79,9 +72,9 @@ def dgemm(
         non-transposed case; ``"T"`` is an extension handled by staging
         an explicit transpose on the MPE before the CG kernel runs (the
         approach production libraries use for unsupported layouts).
-        The legacy spellings ``trans``/``trans_a``/``trans_b`` are
-        still accepted with a :class:`DeprecationWarning` — every call
-        is normalized through :func:`repro.api.as_gemm_request`.
+        Every call is normalized through
+        :func:`repro.api.as_gemm_request`, which rejects empty
+        dimensions and complex operands before anything is staged.
     variant:
         one of ``RAW``, ``PE``, ``ROW``, ``DB``, ``SCHED`` (default:
         the paper's best version).
@@ -137,8 +130,7 @@ def dgemm(
         the m x n result, column-major.
     """
     request = as_gemm_request(
-        a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb,
-        legacy=legacy, caller="dgemm",
+        a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb
     )
     impl = get_variant(variant)
     eng = get_engine(engine)

@@ -19,22 +19,21 @@ a mis-shaped item is rejected with its index in the message before
 anything is staged, instead of surfacing as an opaque device error
 mid-batch after earlier items already executed.
 
-Pass ``processor=`` (or ``n_core_groups=``) to dispatch the batch
-across the chip's core groups through
-:class:`repro.multi.scheduler.CGScheduler` instead of serializing it
-on one CG.
+``dgemm_batch`` is the single-CG loop only.  Dispatching a batch
+across the chip's core groups is the job of
+:class:`repro.multi.scheduler.CGScheduler`, reached through
+``Session.batch``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError, UnsupportedShapeError
-from repro.api import GemmRequest, resolve_legacy_kwargs
+from repro.api import GemmRequest
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
@@ -42,31 +41,7 @@ from repro.core.context import ExecutionContext
 from repro.core.params import BlockingParams
 from repro.core.variants import get_variant
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.multi.processor import SW26010Processor
-    from repro.multi.scheduler import ScheduleResult
-
-__all__ = ["BatchItem", "BatchResult", "dgemm_batch", "validate_items"]
-
-
-class BatchItem(GemmRequest):
-    """Deprecated alias of :class:`repro.api.GemmRequest`.
-
-    The typed request surface (PR 7) renamed the batch work unit;
-    ``BatchItem`` remains a construction-compatible subclass so old
-    call sites keep working, but new code should build
-    :class:`~repro.api.GemmRequest` directly.  Every entry point that
-    accepted ``BatchItem`` now accepts any ``GemmRequest``.
-    """
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "BatchItem is deprecated; construct repro.api.GemmRequest "
-            "instead (same fields, same semantics)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        super().__post_init__()
+__all__ = ["BatchResult", "dgemm_batch", "validate_items"]
 
 
 def validate_items(
@@ -86,7 +61,7 @@ def validate_items(
         if not isinstance(item, GemmRequest):
             raise ConfigError(
                 f"batch item {idx} is {type(item).__name__}, expected "
-                "GemmRequest (or the deprecated BatchItem alias)"
+                "GemmRequest"
             )
         try:
             shapes.append(item.validate())
@@ -132,13 +107,10 @@ def dgemm_batch(
     pad: bool = True,
     context: ExecutionContext | None = None,
     check: bool = False,
-    processor: "SW26010Processor | None" = None,
-    n_core_groups: int | None = None,
     tracer=None,
     plan_cache=None,
-    **legacy: Any,
-) -> "BatchResult | ScheduleResult":
-    """Run every item on one shared core group — or across a CG pool.
+) -> BatchResult:
+    """Run every item, in order, on one shared core group.
 
     ``pad`` defaults to True here (unlike ``dgemm``) because batch
     workloads — LU trailing updates, convolution layers — rarely arrive
@@ -148,63 +120,22 @@ def dgemm_batch(
     the numpy reference, as in the scalar entry point.  ``engine=``
     selects the execution engine per :func:`repro.core.api.dgemm` —
     ``"vectorized"`` is the throughput choice for long batches
-    (identical accounting, same results to rtol=1e-12).
+    (identical accounting, same results to rtol=1e-12).  Any item
+    failure propagates.
 
-    Passing ``processor=`` (an :class:`SW26010Processor`) or
-    ``n_core_groups=`` dispatches the batch across multiple core
-    groups through :class:`repro.multi.scheduler.CGScheduler` and
-    returns its :class:`~repro.multi.scheduler.ScheduleResult` (a
-    superset of :class:`BatchResult`'s accounting).  Any item failure
-    propagates on this path, matching the serial contract.
-
-    ``tracer=`` records per-item ``dgemm`` phase spans (and, on the
-    pool path, the scheduler's ``cg_dispatch`` spans) into a
+    ``tracer=`` records per-item ``dgemm`` phase spans into a
     :class:`repro.obs.SpanTracer`; ``None`` disables tracing.
 
     ``plan_cache=`` supplies compiled index plans to plan-aware engines
     (see :func:`repro.core.api.dgemm`); a batch full of repeated shapes
-    builds each plan once.  On the pool path the scheduler owns its own
-    cache.
+    builds each plan once.
+
+    To spread a batch over several core groups, use ``Session.batch``
+    (or :class:`repro.multi.scheduler.CGScheduler` directly).
     """
-    if legacy:
-        resolved = resolve_legacy_kwargs("dgemm_batch", legacy)
-        unexpected = set(resolved) - {"n_core_groups"}
-        if unexpected:
-            raise TypeError(
-                "dgemm_batch() got an unexpected keyword argument "
-                f"{sorted(unexpected)[0]!r}"
-            )
-        if "n_core_groups" in resolved:
-            if n_core_groups is not None:
-                raise ConfigError(
-                    "dgemm_batch(): n_core_groups given both directly and "
-                    "through a legacy spelling"
-                )
-            n_core_groups = resolved["n_core_groups"]
     items = list(items)
     if not items:
         raise ConfigError("empty batch")
-    if processor is not None or n_core_groups is not None:
-        if core_group is not None or context is not None:
-            raise ConfigError(
-                "processor=/n_core_groups= dispatches across core groups; "
-                "core_group=/context= apply only to the single-CG path — "
-                "pass one or the other"
-            )
-        from repro.multi.scheduler import CGScheduler
-
-        scheduler = CGScheduler(
-            processor,
-            n_core_groups=n_core_groups,
-            variant=variant,
-            engine=engine,
-            params=params,
-            spec=spec,
-            pad=pad,
-            check=check,
-            tracer=tracer,
-        )
-        return scheduler.run(items, isolate_failures=False)
     shapes = validate_items(items)
     params = params or get_variant(variant).default_params()
     outputs: list[np.ndarray] = []

@@ -1,8 +1,8 @@
 """The one-true entry point: a session that owns device, context, pool.
 
 The layers below are deliberately explicit — ``dgemm`` takes a
-``core_group``/``context``, ``dgemm_batch`` takes a device or a
-processor, ``CGScheduler`` wants a pool — and that explicitness is the
+``core_group``/``context``, ``dgemm_batch`` takes a device,
+``CGScheduler`` wants a pool — and that explicitness is the
 right *low-level* surface.  But a caller who just wants the paper's
 DGEMM served fast should not have to thread devices and contexts by
 hand.  :class:`Session` is that caller's API:
@@ -142,10 +142,6 @@ class Session:
         # path a session exists to serve — runs the vectorized engine.
         # Pass an explicit engine to force one choice everywhere.
         self.engine = None if engine is None else str(engine).lower()
-        # the learned table only fills in *defaulted* blocking; explicit
-        # params= pins every call to exactly those parameters.
-        self._explicit_params = params is not None
-        self._calibration = calibration
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
@@ -268,39 +264,28 @@ class Session:
         engine: str | None = None,
         pad: bool | None = None,
         check: bool | None = None,
-        **legacy,
     ) -> np.ndarray:
         """One multiply on CG 0, staging kept warm across calls.
 
         ``engine=`` overrides the session's engine for this call;
         scalar calls default to ``"device"`` (full protocol checking)
         unless the session was built with an explicit ``engine=``.
-        Legacy kwarg spellings (``trans``/``trans_a``/...) pass through
-        to the normalization funnel, which warns and maps them.
 
-        With ``tuned=`` configured (and no explicit session ``params=``)
-        the call's blocking comes from the learned table for this
-        shape's bin, estimator fallback on a miss — the same resolution
-        batch dispatch uses.
+        The call's blocking comes from
+        :meth:`CGScheduler.resolve_blocking
+        <repro.multi.scheduler.CGScheduler.resolve_blocking>` — the
+        same resolution batch dispatch uses (explicit session
+        ``params=``, else the ``tuned=`` table, else the variant's
+        default).
         """
         self._require_open()
         ctx = self._scalar_context()
         eff_engine = (engine or self.engine or "device").lower()
-        params = self.params
-        if self.tuned is not None and not self._explicit_params:
-            eff_transa = legacy.get("trans", legacy.get("trans_a", transa))
-            eff_transb = legacy.get("trans_b", transb)
-            rm, rk = (
-                (a.shape[1], a.shape[0])
-                if str(eff_transa).upper() == "T" else (a.shape[0], a.shape[1])
-            )
-            rn = (
-                b.shape[0] if str(eff_transb).upper() == "T" else b.shape[1]
-            )
-            params = self.tuned.resolve(
-                self.variant, eff_engine, rm, rn, rk,
-                spec=self.processor.spec, calibration=self._calibration,
-            ).params
+        eff_pad = self.pad if pad is None else pad
+        m, n, k = GemmRequest(
+            a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb
+        ).validate()
+        (params,) = self.scheduler.resolve_blocking([(m, n, k)], engine=eff_engine)
         before = ctx.stats()
         out = _dgemm(
             a, b, c,
@@ -308,20 +293,12 @@ class Session:
             variant=self.variant,
             engine=eff_engine,
             params=params, context=ctx,
-            pad=self.pad if pad is None else pad,
+            pad=eff_pad,
             check=self.check if check is None else check,
             tracer=self.tracer,
             plan_cache=self.plan_cache,
-            **legacy,
         )
-        m, n = out.shape
-        eff_transa = legacy.get("trans", legacy.get("trans_a", transa))
-        k = a.shape[0] if str(eff_transa).upper() == "T" else a.shape[1]
-        pm, pn, pk = (
-            params.pad_shape(m, n, k)
-            if (self.pad if pad is None else pad)
-            else (m, n, k)
-        )
+        pm, pn, pk = params.pad_shape(m, n, k) if eff_pad else (m, n, k)
         with self._stats_lock:
             self._traffic = self._traffic.plus(ctx.stats().since(before))
             self._calls += 1
@@ -419,7 +396,8 @@ class Session:
         GEMM and conv requests run as a batch of one through the
         scheduler (conv is lowered via im2col and its output folded
         back to feature maps); LU runs :func:`repro.apps.lu.blocked_lu`
-        on the session's warm CG-0 context.  Either way the request's
+        on the session's warm CG-0 context, on the same engine a GEMM
+        with these ``options`` would get.  Either way the request's
         traffic is folded into :meth:`stats`, so summing per-request
         deltas over any set of submissions reconciles bit-exactly with
         the session totals.
@@ -436,7 +414,7 @@ class Session:
                 traffic=ContextStats.zero(),
             )
         if isinstance(request, LuRequest):
-            return self._submit_lu(request, bin_label)
+            return self._submit_lu(request, bin_label, opts)
         gemm = request.lower() if isinstance(request, ConvRequest) else request
         result = self.batch([gemm], options=opts)
         traffic = result.item_traffic[0]
@@ -458,8 +436,16 @@ class Session:
             bin=bin_label,
         )
 
-    def _submit_lu(self, request: LuRequest, bin_label: str) -> RequestResult:
-        """Run one LU factorization on the warm scalar context."""
+    def _submit_lu(
+        self, request: LuRequest, bin_label: str, opts: SubmitOptions
+    ) -> RequestResult:
+        """Run one LU factorization on the warm scalar context.
+
+        The engine follows the rule a GEMM sent through :meth:`submit`
+        follows: ``opts.engine``, else the scheduler's engine.
+        """
+        # looked up at call time, so a wrapped repro.apps.lu.blocked_lu
+        # (profilers, tests) sees served factorizations too.
         from repro.apps.lu import blocked_lu
 
         ctx = self._scalar_context()
@@ -472,6 +458,7 @@ class Session:
                 params=self.params,
                 context=ctx,
                 tracer=self.tracer,
+                engine=opts.engine or self.scheduler.engine,
             )
         except Exception as exc:
             delta = ctx.stats().since(before)
@@ -488,7 +475,7 @@ class Session:
             self._traffic = self._traffic.plus(delta)
             self._calls += 1
             self._flops += value.gemm_flops
-            self._padded_flops += value.gemm_flops
+            self._padded_flops += value.padded_gemm_flops
         return RequestResult(value=value, traffic=delta, bin=bin_label)
 
     def resil_stats(self) -> dict:

@@ -26,13 +26,11 @@ keep panel staging warm across calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.errors import ConfigError, UnsupportedShapeError
-from repro.api import apply_trans as _apply_trans
-from repro.api import resolve_legacy_kwargs
+from repro.api import apply_trans, as_gemm_request
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
@@ -56,6 +54,7 @@ def dgemm_multi_cg(
     transa: str = "N",
     transb: str = "N",
     variant: str = "SCHED",
+    engine: str = "device",
     params: BlockingParams | None = None,
     spec: SW26010Spec = DEFAULT_SPEC,
     processor: SW26010Processor | None = None,
@@ -63,7 +62,6 @@ def dgemm_multi_cg(
     contexts: "list[ExecutionContext] | None" = None,
     pad: bool = False,
     check: bool = False,
-    **legacy: Any,
 ) -> np.ndarray:
     """Compute ``alpha*a@b + beta*c`` across all four CGs (functional).
 
@@ -74,41 +72,25 @@ def dgemm_multi_cg(
     and the result is truncated back, as in the single-CG entry point.
 
     ``n_core_groups=`` restricts the decomposition to the first N CGs
-    (default: all of them), matching the other entry points'
-    harmonized keyword surface; the legacy spellings
-    (``ncgs``/``num_core_groups``/``trans``/...) are accepted with a
-    :class:`DeprecationWarning`.
+    (default: all of them).  ``engine=`` selects each panel's execution
+    engine, as in :func:`repro.core.api.dgemm`.
     """
-    if legacy:
-        resolved = resolve_legacy_kwargs("dgemm_multi_cg", legacy)
-        if "n_core_groups" in resolved:
-            if n_core_groups is not None:
-                raise ConfigError(
-                    "dgemm_multi_cg(): n_core_groups given both directly "
-                    "and through a legacy spelling"
-                )
-            n_core_groups = resolved.pop("n_core_groups")
-        transa = resolved.get("transa", transa)
-        transb = resolved.get("transb", transb)
+    as_gemm_request(
+        a, b, c, alpha=alpha, beta=beta, transa=transa, transb=transb
+    )
     proc = processor or SW26010Processor(spec)
     params = params or BlockingParams.small(double_buffered=True)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise UnsupportedShapeError("dgemm operates on 2-D matrices")
-    a = np.asfortranarray(_apply_trans("transa", transa, a))
-    b = np.asfortranarray(_apply_trans("transb", transb, b))
+    a = np.asfortranarray(
+        apply_trans("transa", transa, np.asarray(a, dtype=np.float64))
+    )
+    b = np.asfortranarray(
+        apply_trans("transb", transb, np.asarray(b, dtype=np.float64))
+    )
     m, k = a.shape
-    k2, n = b.shape
-    if k2 != k:
-        raise UnsupportedShapeError(f"A is {a.shape} but B is {b.shape}")
+    n = b.shape[1]
     if c is None:
-        if beta != 0.0:
-            raise UnsupportedShapeError("beta != 0 requires an input C")
         c = np.zeros((m, n), dtype=np.float64, order="F")
     c = np.asfortranarray(c, dtype=np.float64)
-    if c.shape != (m, n):
-        raise UnsupportedShapeError(f"C is {c.shape}, expected {(m, n)}")
     n_cgs = n_core_groups if n_core_groups is not None else proc.N_CORE_GROUPS
     if not 1 <= n_cgs <= proc.N_CORE_GROUPS:
         raise ConfigError(
@@ -159,7 +141,8 @@ def dgemm_multi_cg(
             cols = slice(g * panel, (g + 1) * panel)
             out[:, cols] = dgemm(
                 a, b_eff[:, cols], c_eff[:, cols],
-                alpha=alpha, beta=beta, variant=variant, params=params,
+                alpha=alpha, beta=beta, variant=variant, engine=engine,
+                params=params,
                 core_group=None if contexts is not None else proc.cg(g),
                 context=None if contexts is None else contexts[g],
             )

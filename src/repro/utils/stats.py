@@ -27,6 +27,7 @@ from ``self`` unchanged.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import typing
 
@@ -44,6 +45,14 @@ def _combine(mine, theirs, sign: int):
     if isinstance(mine, numbers.Number):
         return mine + sign * theirs
     return mine
+
+
+@functools.cache
+def _field_types(cls) -> tuple[tuple[str, object], ...]:
+    """``(name, resolved type)`` per field; ``get_type_hints`` is slow,
+    so it runs once per class rather than on every :meth:`zero`."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def _zero_value(field_type):
@@ -96,10 +105,7 @@ class StatsProtocol:
     @classmethod
     def zero(cls):
         """The additive identity for :meth:`plus` / :meth:`delta`."""
-        hints = typing.get_type_hints(cls)
-        return cls(
-            **{f.name: _zero_value(hints[f.name]) for f in dataclasses.fields(cls)}
-        )
+        return cls(**{name: _zero_value(t) for name, t in _field_types(cls)})
 
     def snapshot(self):
         """An independent copy, safe to hold as a baseline."""

@@ -96,14 +96,22 @@ class TestConvBatch:
                                rtol=1e-9, atol=1e-7)
 
     def test_pool_batch_bit_identical_to_serial(self):
+        """The pool path for conv layers is ``Session.batch`` over the
+        lowered requests; folding its outputs matches the serial loop."""
+        from repro.api import ConvRequest
         from repro.apps.conv import conv2d_gemm_batch
+        from repro.core.session import Session
         from repro.multi import SW26010Processor
 
         layers = self._layers(seed=1)
+        requests = [ConvRequest(images, kernels) for images, kernels in layers]
         proc = SW26010Processor()
         baselines = [cg.memory.used_bytes for cg in proc.core_groups]
-        pooled = conv2d_gemm_batch(layers, params=PARAMS, processor=proc)
+        with Session(processor=proc, params=PARAMS, engine="device") as s:
+            result = s.batch([r.lower() for r in requests])
+        pooled = [r.fold(out) for r, out in zip(requests, result.outputs)]
         serial = conv2d_gemm_batch(layers, params=PARAMS)
+        assert len(set(result.plan.assignments)) > 1
         assert all(np.array_equal(x, y) for x, y in zip(pooled, serial))
         assert [cg.memory.used_bytes for cg in proc.core_groups] == baselines
 

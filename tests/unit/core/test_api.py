@@ -52,6 +52,28 @@ class TestBasics:
         assert np.allclose(out, reference_dgemm(0.7, a, b, 0.3, c), rtol=1e-12, atol=1e-9)
 
 
+class TestRejectedBeforeStaging:
+    """Bad input raises in the request funnel, before any operand is
+    staged (staging is patched to fail loudly if it is reached)."""
+
+    @pytest.fixture(autouse=True)
+    def no_staging(self, monkeypatch):
+        def staged(*args, **kwargs):
+            raise AssertionError("dgemm staged an operand")
+
+        monkeypatch.setattr(ExecutionContext, "stage", staged)
+        monkeypatch.setattr(ExecutionContext, "stage_zeros", staged)
+
+    def test_zero_dimension(self, small):
+        with pytest.raises(UnsupportedShapeError, match="m=0"):
+            dgemm(np.zeros((0, 4)), np.zeros((4, 3)), params=small, pad=True)
+
+    def test_complex_operand(self, small):
+        a = np.ones((4, 3)) + 1j
+        with pytest.raises(UnsupportedShapeError, match="complex"):
+            dgemm(a, np.ones((3, 2)), params=small, pad=True)
+
+
 class TestShapeHandling:
     def test_non_multiple_rejected_without_pad(self, small):
         a = np.ones((small.b_m + 8, small.b_k))

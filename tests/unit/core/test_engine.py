@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchItem, dgemm_batch
+from repro.api import GemmRequest
+from repro.core.batch import dgemm_batch
 from repro.core.api import dgemm
 from repro.core.engine import (
     ENGINES,
@@ -95,8 +96,8 @@ class TestEngineSelection:
 
     def test_dgemm_batch_engine_kwarg(self):
         items = [
-            BatchItem(*gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k,
-                                     seed=s), alpha=1.0, beta=1.0)
+            GemmRequest(*gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k,
+                                       seed=s), alpha=1.0, beta=1.0)
             for s in (5, 6)
         ]
         result = dgemm_batch(items, engine="vectorized", params=DOUBLE,

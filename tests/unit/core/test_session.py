@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import BatchItem, Session
+from repro import GemmRequest, Session
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError
 from repro.multi import SW26010Processor
@@ -79,7 +79,7 @@ class TestBatch:
     def test_batch_dispatches_and_isolates_by_default(self):
         with Session(params=PARAMS, check=True) as s:
             items = mixed_batch(6, params=PARAMS, seed=4)
-            items[1] = BatchItem(np.full_like(items[1].a, np.nan), items[1].b)
+            items[1] = GemmRequest(np.full_like(items[1].a, np.nan), items[1].b)
             result = s.batch(items)
             assert len(result.errors) == 1
             assert result.errors[0].index == 1
@@ -87,7 +87,7 @@ class TestBatch:
     def test_batch_can_propagate_failures(self):
         with Session(params=PARAMS, check=True) as s:
             items = mixed_batch(3, params=PARAMS, seed=5)
-            items[0] = BatchItem(np.full_like(items[0].a, np.nan), items[0].b)
+            items[0] = GemmRequest(np.full_like(items[0].a, np.nan), items[0].b)
             with pytest.raises(AssertionError):
                 s.batch(items, isolate_failures=False)
 

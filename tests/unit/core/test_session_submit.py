@@ -65,6 +65,26 @@ class TestSubmitGemm:
             assert result.fault_reports[0].retries == 0
 
 
+class TestSubmitRejectsBadInput:
+    """Empty and complex requests come back as structured errors."""
+
+    def test_zero_dimension(self):
+        with Session(params=PARAMS, n_core_groups=2) as s:
+            result = s.submit(GemmRequest(np.zeros((0, 4)), np.zeros((4, 3))))
+            assert not result.ok
+            assert result.error.kind == "UnsupportedShapeError"
+            assert "m=0" in result.error.message
+            assert s.stats().traffic == ContextStats.zero()
+
+    def test_complex_operand(self):
+        with Session(params=PARAMS, n_core_groups=2) as s:
+            a = np.ones((4, 3)) + 1j
+            result = s.submit(GemmRequest(a, np.ones((3, 2))))
+            assert not result.ok
+            assert result.error.kind == "UnsupportedShapeError"
+            assert "complex" in result.error.message
+
+
 class TestSubmitConvAndLu:
     def test_conv_folds_back_to_feature_maps(self):
         rng = np.random.default_rng(2)
@@ -92,6 +112,18 @@ class TestSubmitConvAndLu:
             from repro.apps.lu import lu_residual
 
             assert lu_residual(a, result.value) < 50
+
+    def test_lu_books_its_padded_flops(self):
+        rng = np.random.default_rng(4)
+        n = 40  # off the blocking grid: every trailing update pads
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        with Session(params=PARAMS, n_core_groups=1) as s:
+            result = s.submit(LuRequest(a=a, panel=16))
+            assert result.ok
+            stats = s.stats()
+        assert stats.flops == result.value.gemm_flops
+        assert stats.padded_flops == result.value.padded_gemm_flops
+        assert stats.padded_flops > stats.flops
 
     def test_lu_failure_is_structured(self):
         with Session(params=PARAMS, n_core_groups=1) as s:

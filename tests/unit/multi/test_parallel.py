@@ -12,7 +12,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchItem
 from repro.core.params import BlockingParams
 from repro.core.session import Session
 from repro.errors import ConfigError, QuarantineError

@@ -10,12 +10,9 @@ from repro.api import (
     RequestError,
     RequestResult,
     SubmitOptions,
-    as_gemm_request,
     as_request,
     format_bin,
-    resolve_legacy_kwargs,
 )
-from repro.core.batch import BatchItem
 from repro.core.params import BlockingParams
 from repro.errors import ConfigError, UnsupportedShapeError
 
@@ -64,6 +61,50 @@ class TestGemmRequest:
         small = GemmRequest(a=np.zeros((10, 7)), b=np.zeros((7, 5)))
         other = GemmRequest(a=np.zeros((12, 9)), b=np.zeros((9, 6)))
         assert small.shape_bin(PARAMS) == other.shape_bin(PARAMS)
+
+
+class TestRejectedAtTheFunnel:
+    """Empty dimensions and complex operands fail validation, naming
+    the dimension or the dtype."""
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, dim",
+        [((0, 4), (4, 3), "m=0"), ((4, 4), (4, 0), "n=0"),
+         ((4, 0), (0, 3), "k=0")],
+    )
+    def test_gemm_zero_dimension(self, a_shape, b_shape, dim):
+        r = GemmRequest(a=np.zeros(a_shape), b=np.zeros(b_shape))
+        with pytest.raises(UnsupportedShapeError, match=dim):
+            r.validate()
+
+    @pytest.mark.parametrize("operand", ["a", "b", "c"])
+    def test_gemm_complex_operand(self, operand):
+        ops = {"a": np.ones((4, 3)), "b": np.ones((3, 2)),
+               "c": np.ones((4, 2))}
+        ops[operand] = ops[operand] + 1j
+        r = GemmRequest(**ops, beta=1.0)
+        with pytest.raises(UnsupportedShapeError, match="complex"):
+            r.validate()
+
+    def test_conv_zero_dimension(self):
+        r = ConvRequest(images=np.zeros((0, 2, 8, 8)),
+                        kernels=np.zeros((3, 2, 3, 3)))
+        with pytest.raises(UnsupportedShapeError, match="n=0"):
+            r.validate()
+
+    def test_conv_complex_operand(self):
+        r = ConvRequest(images=np.zeros((1, 2, 8, 8)),
+                        kernels=np.zeros((3, 2, 3, 3), dtype=complex))
+        with pytest.raises(UnsupportedShapeError, match="complex"):
+            r.validate()
+
+    def test_lu_zero_dimension(self):
+        with pytest.raises(UnsupportedShapeError, match="n=0"):
+            LuRequest(a=np.zeros((0, 0))).validate()
+
+    def test_lu_complex_operand(self):
+        with pytest.raises(UnsupportedShapeError, match="complex"):
+            LuRequest(a=np.eye(4, dtype=complex)).validate()
 
 
 class TestContentHash:
@@ -189,39 +230,6 @@ class TestFormatBin:
         assert format_bin(("lu", 256, 64)) == "lu:256x64"
 
 
-class TestLegacyKwargs:
-    def test_maps_with_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="transa"):
-            resolved = resolve_legacy_kwargs("dgemm", {"trans": "T"})
-        assert resolved == {"transa": "T"}
-
-    def test_unknown_keyword_raises_type_error(self):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            resolve_legacy_kwargs("dgemm", {"transpose_a": "T"})
-
-    def test_duplicate_spellings_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError, match="duplicates"):
-                resolve_legacy_kwargs(
-                    "dgemm_batch", {"ncgs": 2, "num_core_groups": 4}
-                )
-
-    def test_as_gemm_request_resolves_trans(self):
-        with pytest.warns(DeprecationWarning):
-            r = as_gemm_request(
-                np.zeros((7, 10)), np.zeros((7, 5)), legacy={"trans": "T"}
-            )
-        assert r.transa == "T"
-        assert r.validate() == (10, 5, 7)
-
-    def test_as_gemm_request_rejects_pool_kwargs(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="n_core_groups"):
-                as_gemm_request(
-                    np.zeros((4, 3)), np.zeros((3, 2)), legacy={"ncgs": 2}
-                )
-
-
 class TestAsRequest:
     def test_passes_typed_requests_through(self):
         r = GemmRequest(a=np.eye(4), b=np.eye(4))
@@ -236,18 +244,3 @@ class TestAsRequest:
     def test_rejects_everything_else(self):
         with pytest.raises(ConfigError, match="expected a"):
             as_request([np.eye(4), np.eye(4)])
-
-
-class TestBatchItemShim:
-    def test_construction_warns_and_is_a_gemm_request(self):
-        with pytest.warns(DeprecationWarning, match="BatchItem"):
-            item = BatchItem(a=np.eye(4), b=np.eye(4))
-        assert isinstance(item, GemmRequest)
-        assert item.validate() == (4, 4, 4)
-
-    def test_gemm_request_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            GemmRequest(a=np.eye(4), b=np.eye(4))
