@@ -1,4 +1,4 @@
-"""Execution engines: two ways to run the same GEMM program.
+"""Execution engines: three ways to run the same GEMM program.
 
 A :class:`~repro.core.variants.base.GEMMVariant` describes *what* the
 cluster does — which mapping distributes blocks, which sharing scheme
@@ -12,20 +12,24 @@ exchanges strips, in what order tiles multiply.  An **engine** decides
     and producer/consumer protocols are *checked*, not assumed.
 
 ``vectorized`` (:class:`VectorizedEngine`)
-    the throughput path: all 64 CPEs' tiles live in one
-    ``(64, rows, cols)`` stack, block transfers are strided slice
-    copies, each sharing step is an index gather, and a step's 64 tile
-    multiplies run as one batched ``np.matmul`` — the same arithmetic
-    in the same order, minus the Python-loop object machinery.  The
-    DMA/register-communication statistics the device path would have
-    measured are booked analytically, so accounting is identical.
+    the throughput path: the eight sharing steps of each strip
+    multiplication collapse into one BLAS panel product on strided
+    views of the operands in main memory — results within the
+    library's ``rtol=1e-12`` comparison tolerance of the device path.
 
 ``stepwise`` (:class:`StepwiseEngine`)
-    the bit-exact fast path: the vectorized engine pinned to its
-    stepwise formulation, executing through cached
-    :class:`~repro.core.engine.plans.IndexPlan`\\ s — results *and*
-    stats match the device engine bit for bit, several times faster
-    than the legacy stepwise path.
+    the bit-exact fast path: all 64 CPEs' tiles live in one
+    ``(64, rows, cols)`` stack, block transfers are strided slice
+    copies, each sharing step reads its owner tiles through broadcast
+    views, and a step's 64 tile multiplies run as one batched
+    ``np.matmul`` — the same arithmetic in the same order, minus the
+    Python-loop object machinery.  Every index table comes from a
+    cached :class:`~repro.core.engine.plans.IndexPlan`, and results
+    match the device engine bit for bit.
+
+Both fast engines book the DMA/register-communication statistics the
+device path would have measured analytically, so accounting is
+identical across all three.
 
 The engines mutate C in core-group main memory and are
 interchangeable behind the ``engine=`` keyword of
@@ -61,6 +65,7 @@ __all__ = [
     "PlanSignature",
     "default_plan_cache",
     "ENGINES",
+    "engine_name",
     "get_engine",
 ]
 
@@ -72,13 +77,22 @@ ENGINES: dict[str, type[Engine]] = {
 }
 
 
+def engine_name(name: str) -> str:
+    """Normalize an ``engine=`` name, rejecting names not in :data:`ENGINES`.
+
+    Every entry point that takes an engine by name checks it here, so
+    an unknown name fails before anything executes.
+    """
+    key = str(name).lower()
+    if key not in ENGINES:
+        raise ConfigError(
+            f"unknown engine {name!r}; choose from {sorted(ENGINES)}"
+        )
+    return key
+
+
 def get_engine(name: "str | Engine") -> Engine:
     """Resolve an ``engine=`` keyword (name or instance) to an engine."""
     if isinstance(name, Engine):
         return name
-    try:
-        return ENGINES[str(name).lower()]()
-    except KeyError:
-        raise ConfigError(
-            f"unknown engine {name!r}; choose from {sorted(ENGINES)}"
-        ) from None
+    return ENGINES[engine_name(name)]()

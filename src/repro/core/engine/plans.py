@@ -2,14 +2,12 @@
 
 The stepwise path is the library's bit-exactness anchor: it performs
 the device model's arithmetic in the device model's order, so every
-equivalence and property test rests on it.  Before this module it also
-re-derived the same index algebra on every call — owner gather tables
-from :func:`~repro.core.sharing.step_owner_indices`, the
-``stack_load_* / stack_store_c`` reshape/transpose recipes, the block
-origin arithmetic — and executed each sharing step as two full-stack
-gathers that copied 64 tiles when only 8 were distinct.
+equivalence and property test rests on it.  Its index algebra — owner
+gather tables from :func:`~repro.core.sharing.step_owner_indices`, the
+mesh-wide block copy recipes, the block origin arithmetic — depends
+only on the problem's signature, never on operand values.
 
-An :class:`IndexPlan` hoists all of that out of the hot loop, compiled
+An :class:`IndexPlan` holds all of it outside the hot loop, compiled
 once per ``(shape, variant, params, pool)`` signature:
 
 - the **owner tables**: the full ``(GRID, GRID*GRID)`` int32 gather
@@ -37,9 +35,9 @@ signature get exactly one build, which the ``plan.cache.builds``
 counter asserts in the regression tests.
 
 Everything here changes wall-clock only: outputs and the analytic
-DMA / register-communication statistics of a planned run are
-bit-identical to the unplanned stepwise path and to the device engine
-(enforced by ``tests/property/test_prop_engine.py``).
+DMA / register-communication statistics of a planned run, cold or
+warm, are bit-identical to the device engine (enforced by
+``tests/property/test_prop_engine.py``).
 """
 
 from __future__ import annotations

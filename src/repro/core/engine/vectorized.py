@@ -7,43 +7,38 @@ broadcast.  That faithfulness is the point of the device model — and
 pure overhead once the protocols are trusted.  This engine runs the
 same program mesh-wide, at two fusion levels:
 
-**Stepwise mode** (``VectorizedEngine(stepwise=True)``) is the literal
-mesh-wide formulation:
+**Stepwise mode** (:class:`StepwiseEngine`) is the literal mesh-wide
+formulation, executed through a compiled
+:class:`~repro.core.engine.plans.IndexPlan`:
 
 - each operand's 64 thread-level tiles live in one contiguous
   ``(64, rows, cols)`` stack (the cluster's LDM, as an array), filled
-  by ``DataThreadMapping.stack_load_* / stack_store_c`` — one strided
-  slice copy replaces 64 per-CPE DMA calls (or 8 collective ROW_MODE
-  transfers);
-- a sharing step resolves through the
-  :func:`~repro.core.sharing.step_owner_indices` tables — the owner
-  lines' tiles land where the register networks would have delivered
-  them — and all 64 tile multiplies of the step execute as one batched
-  ``matmul``;
+  by the plan's :class:`~repro.core.mapping.StackCopySpec` recipes —
+  one strided slice copy replaces 64 per-CPE DMA calls (or 8
+  collective ROW_MODE transfers);
+- a sharing step reads the owner lines' tiles through broadcast views
+  over a 4-D reshape of the stacks — exactly the tiles the
+  :func:`~repro.core.sharing.step_owner_indices` tables name and the
+  register networks would have delivered — and all 64 tile multiplies
+  of the step execute as one batched ``matmul``;
 - the beta scaling is one ``stack *= beta`` over the whole C stack.
 
-By default the stepwise path executes through a compiled
-:class:`~repro.core.engine.plans.IndexPlan` (PR 8): the owner tables,
-stack copy recipes, and block origins are built once per
-``(shape, variant, params)`` signature, cached in an LDM-budgeted
-:class:`~repro.core.engine.plans.PlanCache`, and each sharing step's
-two gather *copies* become two broadcast *views* over a 4-D reshape of
-the stacks — same BLAS calls on the same operands, several times
-faster.  ``use_plans=False`` keeps the legacy per-call gather path
-(the benchmark baseline).
+The plan (owner tables, stack copy recipes, block origins) is built
+once per ``(shape, variant, params)`` signature and cached in an
+LDM-budgeted :class:`~repro.core.engine.plans.PlanCache`.
 
 It performs the identical arithmetic in the identical order as the
 device path (same BLAS calls on the same operands), so its results are
 bit-for-bit equal — it exists as the bridge that *proves* the index
 algebra, and as the shape the real hardware's batched execution takes.
 
-**Fused mode** (the default) goes one step further: because every
-stack gather/scatter is an axis permutation and the owner tables make
-each strip multiplication a plain block matrix product, the
-permutations compose away — the eight sharing steps collapse into one
-blocked ``C_panel += alpha * A_panel @ B_panel`` on strided views of
-the operands in main memory, one BLAS call per (j, l) panel, with zero
-intermediate copies.  Results then agree with the device engine to
+**Fused mode** (:class:`VectorizedEngine`) goes one step further:
+because every stack gather/scatter is an axis permutation and the
+owner tables make each strip multiplication a plain block matrix
+product, the permutations compose away — the eight sharing steps
+collapse into one blocked ``C_panel += alpha * A_panel @ B_panel`` on
+strided views of the operands in main memory, one BLAS call per
+(j, l) panel, with zero intermediate copies.  Results then agree with the device engine to
 well below the library's ``rtol=1e-12 / atol=1e-9`` comparison
 tolerance (the only difference is floating-point summation *order*
 inside a k-panel), which the property tests in
@@ -66,9 +61,8 @@ from repro.arch.dma import DMADirection, DMAMode
 from repro.arch.memory import MatrixHandle
 from repro.core.engine.base import Engine
 from repro.core.engine.plans import IndexPlan, default_plan_cache
-from repro.core.kernel_functional import tile_multiply_batched
 from repro.core.params import GRID, BlockingParams
-from repro.core.sharing import Scheme, step_owner_indices
+from repro.core.sharing import Scheme
 from repro.core.variants.base import check_gemm_shapes
 from repro.obs.registry import cg_meter
 from repro.obs.tracer import ensure_tracer
@@ -95,20 +89,16 @@ class TileStacks:
 
     ``a[t]``, ``b[t]``, ``c[t]`` are the tiles of flat thread ``t``
     (row-major coordinate order, matching
-    :meth:`~repro.arch.mesh.CPEMesh.linear_index`).  Scratch stacks for
-    the batched product (and, with ``scratch=True``, the legacy path's
-    per-step gathers) are preallocated here so the hot loop performs no
-    allocations at all; the planned path reads owner tiles through
-    broadcast views and needs no gather scratch.
+    :meth:`~repro.arch.mesh.CPEMesh.linear_index`).  The scratch stack
+    for the batched product is preallocated here so the hot loop
+    performs no allocations at all.
     """
 
-    def __init__(self, params: BlockingParams, scratch: bool = True) -> None:
+    def __init__(self, params: BlockingParams) -> None:
         n = GRID * GRID
         self.a = np.empty((n, params.p_m, params.p_k))
         self.b = np.empty((n, params.p_k, params.p_n))
         self.c = np.empty((n, params.p_m, params.p_n))
-        self.a_step = np.empty_like(self.a) if scratch else None
-        self.b_step = np.empty_like(self.b) if scratch else None
         self.prod = np.empty_like(self.c)
 
 
@@ -122,20 +112,17 @@ class VectorizedEngine(Engine):
     discipline and alignment hold by construction on this path, because
     the shapes were validated by :class:`BlockingParams` up front.
 
-    ``stepwise=True`` selects the per-step stacked-tile formulation
-    (bit-identical to the device); the default fused formulation
-    collapses each strip multiplication into one BLAS panel product
-    (>=10x, same results to the library comparison tolerance).  The
-    stepwise formulation executes through a cached
-    :class:`~repro.core.engine.plans.IndexPlan` unless
-    ``use_plans=False`` pins it to the legacy per-call gather path.
+    This engine runs the fused formulation, which collapses each strip
+    multiplication into one BLAS panel product (>=10x, same results to
+    the library comparison tolerance).  :class:`StepwiseEngine` runs
+    the per-step stacked-tile formulation instead (bit-identical to
+    the device) through a cached
+    :class:`~repro.core.engine.plans.IndexPlan`.
     """
 
     name = "vectorized"
-
-    def __init__(self, stepwise: bool = False, use_plans: bool = True) -> None:
-        self.stepwise = stepwise
-        self.use_plans = use_plans
+    #: run the per-step stacked-tile program instead of the fused one.
+    stepwise = False
 
     def run(
         self,
@@ -178,16 +165,10 @@ class VectorizedEngine(Engine):
         # and the cumulative statistics still match the device path
         # exactly.
         if self.stepwise:
-            if self.use_plans:
-                cache = (default_plan_cache() if plan_cache is None
-                         else plan_cache)
-                plan = cache.get_or_build(impl, params, m, n, k,
-                                          tracer=tracer)
-                self._shared_stepwise_planned(cg, a, b, c, alpha, beta,
-                                              params, mapping, plan, tracer)
-            else:
-                self._shared_stepwise(impl, cg, a, b, c, alpha, beta,
-                                      params, mapping, grid, tracer)
+            cache = default_plan_cache() if plan_cache is None else plan_cache
+            plan = cache.get_or_build(impl, params, m, n, k, tracer=tracer)
+            self._shared_stepwise_planned(cg, a, b, c, alpha, beta,
+                                          params, mapping, plan, tracer)
         else:
             self._shared_fused(impl, cg, a, b, c, alpha, beta,
                                params, mapping, grid, m, tracer)
@@ -235,42 +216,6 @@ class VectorizedEngine(Engine):
                         mapping.tally_store_c(cg)
                         self._tally_sharing(cg, impl.scheme, params)
 
-    def _shared_stepwise(self, impl, cg, a, b, c, alpha, beta,
-                         params, mapping, grid, tracer) -> None:
-        """The literal mesh-wide program: stacks, gathers, batched steps."""
-        grid_m, grid_n, grid_k = grid
-        stacks = TileStacks(params)
-        idx_a, idx_b = step_owner_indices(impl.scheme)
-        meter = cg_meter(cg)
-        for j in range(grid_n):
-            for l in range(grid_k):
-                with tracer.span("strip_mult", cat="kernel", meter=meter,
-                                 j=j, l=l), fault_phase(cg.injector, "kernel"):
-                    _fire(cg, "compute")
-                    _fire(cg, "dma.get")
-                    mapping.stack_load_b(cg, b, l, j, stacks.b)
-                    beta_now = beta if l == 0 else 1.0
-                    for i in range(grid_m):
-                        _fire(cg, "dma.get")
-                        mapping.stack_load_a(cg, a, i, l, stacks.a)
-                        mapping.stack_load_c(cg, c, i, j, stacks.c)
-                        if beta_now != 1.0:
-                            stacks.c *= beta_now
-                        self._strip_multiply(cg, impl.scheme, stacks,
-                                             idx_a, idx_b, alpha, params)
-                        _fire(cg, "dma.put")
-                        mapping.stack_store_c(cg, c, i, j, stacks.c)
-
-    def _strip_multiply(self, cg, scheme, stacks, idx_a, idx_b,
-                        alpha, params) -> None:
-        """Eight sharing steps as gathers + batched multiplies."""
-        for step in range(GRID):
-            np.take(stacks.a, idx_a[step], axis=0, out=stacks.a_step)
-            np.take(stacks.b, idx_b[step], axis=0, out=stacks.b_step)
-            tile_multiply_batched(stacks.c, stacks.a_step, stacks.b_step,
-                                  alpha, out=stacks.prod)
-        self._tally_sharing(cg, scheme, params)
-
     # -- the plan-compiled stepwise path --------------------------------
 
     def _shared_stepwise_planned(self, cg, a, b, c, alpha, beta,
@@ -278,15 +223,15 @@ class VectorizedEngine(Engine):
                                  tracer) -> None:
         """The stepwise program driven entirely by a compiled plan.
 
-        Same transfers, same tallies, same fire points, same BLAS calls
-        on the same operands as :meth:`_shared_stepwise` — the plan
-        only removes per-call index derivation and the per-step gather
-        copies (owner tiles are read through broadcast views over the
-        4-D stacks).  Outputs and analytic stats are bit-identical;
+        Same transfers, same tallies, same fire points, and the same
+        BLAS calls on the same operands as the device engine's per-CPE
+        program; the plan holds every index table, and owner tiles are
+        read through broadcast views over the 4-D stacks.  Outputs and
+        analytic stats are bit-identical to the device engine;
         ``tests/property/test_prop_engine.py`` holds that line.
         """
         grid_m, grid_n, grid_k = plan.grid
-        stacks = TileStacks(params, scratch=False)
+        stacks = TileStacks(params)
         a_v = cg.memory.array(a)
         b_v = cg.memory.array(b)
         c_v = cg.memory.array(c)
@@ -326,11 +271,10 @@ class VectorizedEngine(Engine):
         broadcasts it against the free mesh axis, reproducing the
         owner-index gather tables exactly (validated at plan build) —
         so the batched ``matmul`` multiplies the identical tile pairs
-        :func:`~repro.core.kernel_functional.tile_multiply_batched`
-        would see, with the gather copies gone.  The accumulation is
-        spelled exactly as there (``+= prod`` / scaled product) to keep
-        the floating-point sequence, and therefore the result, bitwise
-        identical.
+        the device's register broadcasts deliver, with no gather
+        copies.  The accumulation (``+= prod`` / scaled product) keeps
+        the device's floating-point sequence, and therefore its result,
+        bitwise.
         """
         for step in range(GRID):
             a_view, b_view = plan.step_views(a4, b4, step)
@@ -430,14 +374,10 @@ class StepwiseEngine(VectorizedEngine):
     """The plan-compiled stepwise formulation as a named engine.
 
     Registered as ``"stepwise"`` so sessions, batch items, and serve
-    requests can select the bit-exact fast path by name (previously it
-    was only reachable by constructing ``VectorizedEngine(stepwise=
-    True)`` directly).  Results and analytic stats match the device
-    engine bit for bit; wall-clock sits between the device and fused
-    paths.
+    requests can select the bit-exact fast path by name.  Results and
+    analytic stats match the device engine bit for bit; wall-clock
+    sits between the device and fused paths.
     """
 
     name = "stepwise"
-
-    def __init__(self, use_plans: bool = True) -> None:
-        super().__init__(stepwise=True, use_plans=use_plans)
+    stepwise = True

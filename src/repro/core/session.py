@@ -48,6 +48,7 @@ from repro.api import (
 from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm as _dgemm
 from repro.core.context import ContextStats, ExecutionContext
+from repro.core.engine import engine_name
 from repro.core.params import BlockingParams
 from repro.core.variants import get_variant
 from repro.multi.processor import SW26010Processor
@@ -141,7 +142,7 @@ class Session:
         # device model (fidelity), while batch dispatch — the throughput
         # path a session exists to serve — runs the vectorized engine.
         # Pass an explicit engine to force one choice everywhere.
-        self.engine = None if engine is None else str(engine).lower()
+        self.engine = None if engine is None else engine_name(engine)
         self.params = params or get_variant(self.variant).default_params()
         self.pad = pad
         self.check = check
@@ -407,6 +408,8 @@ class Session:
         try:
             request = as_request(request)
             request.validate()
+            if opts.engine is not None:
+                engine_name(opts.engine)
             bin_label = format_bin(request.shape_bin(self.params))
         except (ConfigError, UnsupportedShapeError) as exc:
             return RequestResult(

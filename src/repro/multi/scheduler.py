@@ -86,6 +86,7 @@ from repro.arch.config import SW26010Spec, DEFAULT_SPEC
 from repro.core.api import dgemm
 from repro.core.batch import validate_items
 from repro.core.context import ContextStats, ExecutionContext
+from repro.core.engine import engine_name
 from repro.core.engine.plans import PlanCache
 from repro.core.params import BlockingParams
 from repro.core.variants import get_variant
@@ -423,7 +424,7 @@ class CGScheduler:
             )
         self.n_core_groups = pool
         self.variant = str(variant).upper()
-        self.engine = str(engine).lower()
+        self.engine = engine_name(engine)
         self.policy = str(policy).lower()
         if self.policy not in POLICIES:
             raise ConfigError(
@@ -445,7 +446,7 @@ class CGScheduler:
             self.processor.attach_injector(injector)
         self.retry_policy = retry_policy
         self.fallback_engine = (
-            str(fallback_engine).lower() if fallback_engine else None
+            engine_name(fallback_engine) if fallback_engine else None
         )
         self.resil = RecoveryStats()
         #: compiled index plans, one cache for the whole pool: plans are
@@ -731,6 +732,7 @@ class CGScheduler:
         items = list(items)
         if not items:
             raise ConfigError("empty batch")
+        engine = engine_name(engine) if engine else self.engine
         if not self._run_guard.acquire(blocking=False):
             raise ConfigError(
                 "CGScheduler.run is not reentrant: another run is already "
@@ -740,7 +742,7 @@ class CGScheduler:
         try:
             return self._run(
                 items, isolate_failures, parallel,
-                engine=str(engine).lower() if engine else self.engine,
+                engine=engine,
                 check=self.check if check is None else bool(check),
                 policy=retry_policy if retry_policy is not None
                 else self.retry_policy,

@@ -65,6 +65,7 @@ from repro.api import (
     format_bin,
 )
 from repro.core.context import ContextStats
+from repro.core.engine import engine_name
 from repro.core.session import Session
 from repro.errors import ConfigError, UnsupportedShapeError
 from repro.obs.alerts import AlertEngine, default_serve_rules
@@ -324,6 +325,8 @@ class ReproServer:
         try:
             request = as_request(request)
             shape = request.validate()
+            if opts.engine is not None:
+                engine_name(opts.engine)
             bin_label = format_bin(request.shape_bin(self.session.params))
             flops = _request_flops(request, shape)
         except (ConfigError, UnsupportedShapeError) as exc:

@@ -18,7 +18,7 @@ from repro.arch.core_group import CoreGroup
 from repro.core.api import dgemm
 from repro.core.context import ExecutionContext
 from repro.core.engine.plans import PlanCache
-from repro.core.engine.vectorized import StepwiseEngine, VectorizedEngine
+from repro.core.engine.vectorized import StepwiseEngine
 from repro.core.params import BlockingParams
 from repro.workloads.matrices import gemm_operands
 
@@ -136,7 +136,7 @@ def test_stepwise_mode_is_bitwise_identical(variant, alpha, beta, seed):
     dev, dev_delta, dev_stats = _run(
         "device", variant, p, a, b, c, alpha, beta)
     step, step_delta, step_stats = _run(
-        VectorizedEngine(stepwise=True), variant, p, a, b, c, alpha, beta)
+        StepwiseEngine(), variant, p, a, b, c, alpha, beta)
     assert np.array_equal(step, dev)
     assert step_delta == dev_delta
     assert step_stats == dev_stats
@@ -148,9 +148,9 @@ def test_stepwise_mode_is_bitwise_identical(variant, alpha, beta, seed):
     alpha=scalars, beta=scalars, seed=st.integers(0, 2**16),
 )
 def test_warm_plan_stepwise_is_bitwise_identical(variant, alpha, beta, seed):
-    """A warm-cache stepwise run equals the cold-cache run, the legacy
-    unplanned path, and the device engine — results bit for bit, DMA
-    and regcomm counters field by field.  (RAW has no shared plan; the
+    """A warm-cache stepwise run equals the cold-cache run and the
+    device engine — results bit for bit, DMA and regcomm counters
+    field by field.  (RAW has no shared plan; the
     stepwise engine still serves it, building nothing.)"""
     if variant == "RAW":
         p, (m, n, k) = None, (128, 64, 96)
@@ -163,10 +163,8 @@ def test_warm_plan_stepwise_is_bitwise_identical(variant, alpha, beta, seed):
                 plan_cache=cache)
     warm = _run(StepwiseEngine(), variant, p, a, b, c, alpha, beta,
                 plan_cache=cache)
-    legacy = _run(StepwiseEngine(use_plans=False), variant, p, a, b, c,
-                  alpha, beta)
     dev = _run("device", variant, p, a, b, c, alpha, beta)
-    for other in (cold, legacy, dev):
+    for other in (cold, dev):
         assert np.array_equal(warm[0], other[0])
         assert warm[1] == other[1]          # ContextStats delta
         assert warm[2] == other[2]          # DMA + regcomm counters

@@ -1,13 +1,16 @@
 """Property: one request, one answer, whichever entry point it takes.
 
 With the engine and the blocking fixed, a GEMM sent through
-``Session.dgemm``, ``Session.batch``, ``Session.submit`` or
-``dgemm_batch`` resolves to the same kernel run: the outputs are
+``Session.dgemm``, ``Session.batch``, ``Session.submit``,
+``ReproServer.submit`` or ``dgemm_batch`` resolves to the same kernel
+run: the outputs are
 bit-identical and the DMA/regcomm traffic is equal.  Served LU follows
 the engine it is asked for, so ``Session.submit(LuRequest, options=
 SubmitOptions(engine=e))`` reproduces ``blocked_lu(..., engine=e)``
 bit for bit.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from repro.apps.lu import blocked_lu
 from repro.core.batch import dgemm_batch
 from repro.core.params import BlockingParams
 from repro.core.session import Session
+from repro.serve import ReproServer
 
 PARAMS = BlockingParams.small(double_buffered=True)
 
@@ -46,6 +50,15 @@ def _traffic(stats):
     return (stats.dma_bytes, stats.dma_transactions, stats.regcomm_bytes)
 
 
+def _serve(request, pool):
+    async def scenario():
+        async with ReproServer(params=PARAMS, engine=ENGINE,
+                               n_core_groups=pool) as server:
+            return await server.submit(request)
+
+    return asyncio.run(scenario())
+
+
 @settings(max_examples=8, deadline=None)
 @given(request=gemm_requests(), pool=st.integers(1, 4))
 def test_gemm_equal_through_every_entry_point(request, pool):
@@ -64,6 +77,9 @@ def test_gemm_equal_through_every_entry_point(request, pool):
         submitted = s.submit(request)
         assert submitted.ok
         runs["Session.submit"] = (submitted.value, _traffic(submitted.traffic))
+    served = _serve(request, pool)
+    assert served.ok and not served.cache_hit
+    runs["ReproServer.submit"] = (served.value, _traffic(served.traffic))
     for path, (out, traffic) in runs.items():
         assert np.array_equal(out, serial.outputs[0]), path
         assert traffic == _traffic(serial), path

@@ -14,9 +14,9 @@ from repro.core.engine import (
     get_engine,
 )
 from repro.core.engine.base import Engine
-from repro.core.kernel_functional import tile_multiply_batched
 from repro.core.params import BlockingParams
 from repro.core.session import Session
+from repro.core.variants import get_variant
 from repro.errors import ConfigError
 from repro.workloads.matrices import gemm_operands
 
@@ -34,7 +34,7 @@ class TestRegistry:
         assert set(ENGINES) == {"device", "vectorized", "stepwise"}
 
     def test_instances_pass_through(self):
-        eng = VectorizedEngine(stepwise=True)
+        eng = StepwiseEngine()
         assert get_engine(eng) is eng
 
     def test_unknown_name_raises(self):
@@ -71,12 +71,21 @@ class TestVectorizedContracts:
         with pytest.raises(ConfigError, match="no vectorized execution"):
             VectorizedEngine().run(CannonVariant(), None, None, None, None)
 
-    def test_tile_multiply_batched_rejects_ragged_stacks(self):
-        c = np.zeros((64, 4, 4))
-        a = np.zeros((32, 4, 4))
-        b = np.zeros((64, 4, 4))
-        with pytest.raises(ConfigError, match="stack depths differ"):
-            tile_multiply_batched(c, a, b)
+
+class TestStepwiseBitExact:
+    @pytest.mark.parametrize("variant", ["PE", "ROW", "DB", "SCHED"])
+    def test_paper_blocking(self, variant):
+        """At the paper's blocking (pK = 96) the owner CPEs' column-major
+        LDM tiles and the receivers' copies must still round like the
+        stepwise engine's row-major stacks."""
+        params = get_variant(variant).default_params()
+        a, b, c = gemm_operands(params.b_m, params.b_n, params.b_k, seed=1)
+        runs = [
+            dgemm(a, b, c, beta=1.0, variant=variant, engine=engine,
+                  params=params)
+            for engine in ("device", "stepwise")
+        ]
+        assert np.array_equal(*runs)
 
 
 class TestEngineSelection:
@@ -91,7 +100,7 @@ class TestEngineSelection:
     def test_dgemm_accepts_engine_instance(self):
         a, b, c = gemm_operands(DOUBLE.b_m, DOUBLE.b_n, DOUBLE.b_k, seed=4)
         out = dgemm(a, b, c, beta=1.0, variant="DB",
-                    engine=VectorizedEngine(stepwise=True), params=DOUBLE)
+                    engine=StepwiseEngine(), params=DOUBLE)
         assert np.allclose(out, a @ b + c, rtol=1e-12, atol=1e-9)
 
     def test_dgemm_batch_engine_kwarg(self):

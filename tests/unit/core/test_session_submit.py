@@ -85,6 +85,41 @@ class TestSubmitRejectsBadInput:
             assert "complex" in result.error.message
 
 
+class TestUnknownEngineRejected:
+    """An unknown engine name fails where it enters, before any work —
+    never a silent re-run on the fallback engine."""
+
+    @pytest.mark.parametrize("request_kind", ["gemm", "lu"])
+    def test_submit_option_is_a_structured_error(self, request_kind):
+        if request_kind == "gemm":
+            request = GemmRequest(*gemm_operands(64, 64, 64, seed=0)[:2])
+        else:
+            request = LuRequest(a=np.eye(32) * 2.0, panel=16)
+        with Session(params=PARAMS, n_core_groups=1, engine="stepwise") as s:
+            result = s.submit(request, options=SubmitOptions(engine="bogus"))
+            assert not result.ok
+            assert result.error.kind == "ConfigError"
+            assert "unknown engine" in result.error.message
+            assert result.traffic == ContextStats.zero()
+            assert s.resil_stats()["fallbacks"] == 0
+            stats = s.stats()
+            assert (stats.items, stats.calls) == (0, 0)
+            assert stats.traffic == ContextStats.zero()
+
+    def test_batch_option_raises_before_dispatch(self):
+        with Session(params=PARAMS, n_core_groups=1) as s:
+            items = [GemmRequest(*gemm_operands(64, 64, 64, seed=0)[:2])]
+            with pytest.raises(ConfigError, match="unknown engine"):
+                s.batch(items, options=SubmitOptions(engine="bogus"))
+            assert s.resil_stats()["fallbacks"] == 0
+            assert s.stats().traffic == ContextStats.zero()
+
+    @pytest.mark.parametrize("kwarg", ["engine", "fallback_engine"])
+    def test_session_constructor(self, kwarg):
+        with pytest.raises(ConfigError, match="unknown engine"):
+            Session(params=PARAMS, n_core_groups=1, **{kwarg: "bogus"})
+
+
 class TestSubmitConvAndLu:
     def test_conv_folds_back_to_feature_maps(self):
         rng = np.random.default_rng(2)

@@ -43,6 +43,29 @@ class TestConstruction:
             scheduler.plan([])
 
 
+class TestUnknownEngineRejected:
+    @pytest.mark.parametrize("kwarg", ["engine", "fallback_engine"])
+    def test_constructor(self, kwarg):
+        with pytest.raises(ConfigError, match="unknown engine"):
+            CGScheduler(params=PARAMS, **{kwarg: "bogus"})
+
+    def test_run_override_fails_before_any_item_executes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "repro.multi.scheduler.dgemm",
+            lambda *args, **kwargs: calls.append(args),
+        )
+        scheduler = CGScheduler(params=PARAMS, engine="stepwise",
+                                fallback_engine="device")
+        with pytest.raises(ConfigError, match="unknown engine"):
+            scheduler.run(same_shape_items(2), engine="bogus")
+        assert calls == []
+        assert scheduler.resil_stats()["fallbacks"] == 0
+        # the run guard was never taken: the scheduler still serves
+        monkeypatch.undo()
+        assert not scheduler.run(same_shape_items(1)).errors
+
+
 class TestPlanning:
     def test_same_shape_items_bin_but_do_not_starve(self):
         """Affinity must not serialize a uniform batch on one CG."""

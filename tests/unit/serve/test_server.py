@@ -86,6 +86,22 @@ class TestRequestPath:
 
         run(scenario())
 
+    def test_unknown_engine_option_is_rejected_at_admission(self):
+        async def scenario():
+            async with make_server(engine="stepwise") as server:
+                a, b, _ = gemm_operands(64, 64, 64, seed=0)
+                result = await server.submit(
+                    GemmRequest(a=a, b=b),
+                    options=SubmitOptions(engine="bogus"),
+                )
+                assert not result.ok
+                assert result.error.kind == "ConfigError"
+                assert "unknown engine" in result.error.message
+                assert server.session.stats().batches == 0
+                assert server.session.resil_stats()["fallbacks"] == 0
+
+        run(scenario())
+
     def test_conv_request_folds_to_feature_maps(self):
         async def scenario():
             rng = np.random.default_rng(1)

@@ -25,10 +25,10 @@ def fake_record(device_p50: float, vec_p50: float) -> dict:
     }
 
 
-def fake_plan_record(legacy_p50: float, warm_p50: float) -> dict:
+def fake_plan_record(device_p50: float, warm_p50: float) -> dict:
     return {
         "shape": {"m": 256, "n": 128, "k": 256},
-        "legacy_timing": {"p50": legacy_p50},
+        "device_timing": {"p50": device_p50},
         "warm_timing": {"p50": warm_p50},
     }
 
@@ -51,7 +51,7 @@ class TestSmokeSection:
 
     def test_handles_both_record_shapes(self):
         """Engine records compare device/vectorized; stepwise-plan
-        records compare legacy/warm — one section covers both."""
+        records compare device/warm — one section covers both."""
         section = bench_engine.smoke_section({
             "SCHED": fake_record(1.0, 0.01),
             "STEPWISE_PLAN": fake_plan_record(1.0, 0.25),
@@ -146,6 +146,6 @@ def test_committed_baseline_has_smoke_section():
     assert set(speedups) == {"PE", "SCHED", "STEPWISE_PLAN"}
     assert all(v > 1.0 for v in speedups.values())
     plan = payload["stepwise_plan"]
-    assert plan["speedup_p50"] >= bench_engine.STEPWISE_PLAN_SPEEDUP_FLOOR
+    assert plan["speedup_p50"] >= bench_engine.STEPWISE_PLAN_DEVICE_FLOOR
     assert plan["results_bitwise_equal"] and plan["stats_match"]
     assert plan["plan_cache"]["builds"] == 1
